@@ -565,14 +565,12 @@ impl Executor for SequentialExecutor {
         // feeds the measured-trace feedback, never the reduction order.
         let started = std::time::Instant::now();
         let result = execute_on_worker(&mut self.worker, op, ctx).map_err(ExecError::from);
-        let seconds = started.elapsed().as_secs_f64();
-        let (hits, misses, builds) = self.worker.take_tip_cache_counters();
-        self.telemetry.add_tip_cache(hits, misses, builds);
-        let (blocked, scalar) = self.worker.take_dispatch_counters();
-        self.telemetry.add_dispatch_patterns(blocked, scalar);
         // The single worker never queues; a rejected op still completes the
         // region (aborted regions are reserved for worker deaths).
-        self.telemetry.region_end(token, &[seconds], &[0.0]);
+        let sample = self
+            .worker
+            .take_sample(started.elapsed().as_secs_f64(), 0.0);
+        self.telemetry.region_end(token, &[sample]);
         result
     }
 

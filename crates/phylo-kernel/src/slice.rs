@@ -21,6 +21,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use phylo_data::{DataType, EncodedState, PartitionedPatterns};
+use phylo_telemetry::WorkerSample;
 
 use crate::error::OpError;
 use crate::tables::{KernelDispatch, MaskDictionary};
@@ -496,29 +497,27 @@ impl WorkerSlices {
         self.slices[partition].pattern_count()
     }
 
-    /// Drains the tip-index cache counters of every partition buffer, summed:
-    /// `(hits, misses, builds)` since the last drain.
-    pub fn take_tip_cache_counters(&self) -> (u64, u64, u64) {
-        let mut total = (0, 0, 0);
+    /// This worker's telemetry sample for one region: the measured op and
+    /// queue-wait seconds plus the tip-index cache and dispatch counters of
+    /// every partition buffer, summed and drained (the deltas since the last
+    /// sample). Every executor reports its workers through this one path.
+    pub fn take_sample(&self, op_seconds: f64, queue_wait_seconds: f64) -> WorkerSample {
+        let mut sample = WorkerSample {
+            worker: self.worker,
+            op_seconds,
+            queue_wait_seconds,
+            ..WorkerSample::default()
+        };
         for buffer in &self.buffers {
-            let (h, m, b) = buffer.take_tip_cache_counters();
-            total.0 += h;
-            total.1 += m;
-            total.2 += b;
+            let (hits, misses, builds) = buffer.take_tip_cache_counters();
+            sample.tip_hits += hits;
+            sample.tip_misses += misses;
+            sample.tip_builds += builds;
+            let (blocked, scalar) = buffer.take_dispatch_counters();
+            sample.dispatch_blocked += blocked;
+            sample.dispatch_scalar += scalar;
         }
-        total
-    }
-
-    /// Drains the per-dispatch pattern-step counters of every partition
-    /// buffer, summed: `(blocked, scalar)` since the last drain.
-    pub fn take_dispatch_counters(&self) -> (u64, u64) {
-        let mut total = (0, 0);
-        for buffer in &self.buffers {
-            let (b, s) = buffer.take_dispatch_counters();
-            total.0 += b;
-            total.1 += s;
-        }
-        total
+        sample
     }
 }
 
@@ -739,9 +738,12 @@ mod tests {
         assert_eq!(buf.tip_cache_counters(), (7, 2 * n as u64, 2));
 
         // Draining resets and sums across a worker's buffers.
-        let (h, m, b) = w.take_tip_cache_counters();
-        assert_eq!((h, m, b), (7, 2 * n as u64, 2));
-        assert_eq!(w.take_tip_cache_counters(), (0, 0, 0));
+        let sample = w.take_sample(0.0, 0.0);
+        assert_eq!(
+            (sample.tip_hits, sample.tip_misses, sample.tip_builds),
+            (7, 2 * n as u64, 2)
+        );
+        assert_eq!(w.take_sample(0.0, 0.0).tip_hits, 0);
     }
 
     #[test]

@@ -741,6 +741,7 @@ mod tests {
     fn l004_confines_atomics_to_sync_module() {
         let src = "use std::sync::atomic::AtomicU64;\n";
         assert_eq!(rules_fired_unscoped(OTHER_FILE, src), vec![RuleId::L004]);
+        assert!(rules_fired_unscoped("crates/phylo-telemetry/src/sync.rs", src).is_empty());
         assert!(rules_fired_unscoped("crates/phylo-telemetry/src/sync/atomic.rs", src).is_empty());
         // The facade path is fine anywhere.
         assert!(

@@ -146,14 +146,38 @@ fn committed_unsafe_inventory_is_current() {
     );
 }
 
+/// An empty inventory is the strictest confinement: the workspace has no
+/// `unsafe` at all. L003 and L004 stay armed against re-introduction.
 #[test]
 fn all_unsafe_is_confined_to_phylo_telemetry() {
-    for site in &analysis().scan.unsafe_sites {
+    let sites = &analysis().scan.unsafe_sites;
+    assert!(
+        sites.is_empty(),
+        "the workspace must stay free of unsafe, found: {:?}",
+        sites
+            .iter()
+            .map(|s| format!("{}:{}", s.file, s.line))
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn every_library_crate_forbids_unsafe() {
+    let root = workspace_root();
+    let mut libs = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let lib = entry.expect("crates/ entry").path().join("src/lib.rs");
+        if lib.exists() {
+            libs.push(lib);
+        }
+    }
+    assert!(libs.len() > 10, "suspiciously few crates: {}", libs.len());
+    for lib in libs {
+        let src = std::fs::read_to_string(&lib).expect("lib.rs is readable");
         assert!(
-            site.file.starts_with("crates/phylo-telemetry/"),
-            "unexpected unsafe outside phylo-telemetry: {}:{}",
-            site.file,
-            site.line
+            src.contains("#![forbid(unsafe_code)]"),
+            "{} lacks #![forbid(unsafe_code)]",
+            lib.display()
         );
     }
 }

@@ -285,22 +285,13 @@ impl Executor for RayonExecutor {
         // rejection still closes the bracket). Work-stealing has no per-worker
         // command queue, so the queue-wait lanes are zero.
         if let Some(token) = token {
-            let (mut hits, mut misses, mut builds) = (0u64, 0u64, 0u64);
-            let (mut blocked, mut scalar) = (0u64, 0u64);
-            for w in &self.workers {
-                let (h, m, b) = w.take_tip_cache_counters();
-                hits += h;
-                misses += m;
-                builds += b;
-                let (db, ds) = w.take_dispatch_counters();
-                blocked += db;
-                scalar += ds;
-            }
-            self.telemetry.add_tip_cache(hits, misses, builds);
-            self.telemetry.add_dispatch_patterns(blocked, scalar);
-            let queue_wait = vec![0.0; worker_seconds.len()];
-            self.telemetry
-                .region_end(token, &worker_seconds, &queue_wait);
+            let samples: Vec<_> = self
+                .workers
+                .iter()
+                .zip(&worker_seconds)
+                .map(|(w, &seconds)| w.take_sample(seconds, 0.0))
+                .collect();
+            self.telemetry.region_end(token, &samples);
         }
         if let Some(op_error) = rejected {
             return Err(ExecError::Op(op_error));

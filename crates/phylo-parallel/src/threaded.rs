@@ -14,13 +14,17 @@
 //!
 //! # Hardening and measurement
 //!
-//! Each worker brackets [`execute_on_worker`] with [`Instant`] and ships the
-//! wall-clock duration back with its result; when the executor is built with
-//! [`ExecutorOptions::timed`], the master accumulates those durations into a
-//! real [`WorkTrace`] (retrievable via [`ThreadedExecutor::take_trace`]) —
-//! the measured counterpart of the virtual FLOP traces, and the input to
-//! mid-run rescheduling. Worker panics are caught with
-//! `std::panic::catch_unwind` and surfaced as
+//! Each worker brackets [`execute_on_worker`] with two [`Instant`] reads and
+//! ships the measurement back as a [`WorkerSample`] on the same reply that
+//! carries its result — one channel per worker, one reply per region. The
+//! master derives everything it records from that one sample: when the
+//! executor is built with [`ExecutorOptions::timed`] it accumulates the op
+//! seconds into a real [`WorkTrace`] (retrievable via
+//! [`ThreadedExecutor::take_trace`]) — the measured counterpart of the
+//! virtual FLOP traces, and the input to mid-run rescheduling — and with
+//! telemetry attached it closes the region with the same samples, so the
+//! trace and the `RegionEnd` event hold the same numbers. Worker panics are
+//! caught with `std::panic::catch_unwind` and surfaced as
 //! [`ExecError::WorkerDied`] from [`Executor::execute`]; the
 //! executor is then *poisoned* (every further command fails fast with
 //! [`ExecError::Poisoned`]) until [`ThreadedExecutor::reassign`] rebuilds the
@@ -41,13 +45,8 @@ use phylo_kernel::{
 };
 use phylo_models::ModelSet;
 use phylo_sched::{Assignment, SchedError};
-use phylo_telemetry::{ring, Telemetry, WorkerSample};
+use phylo_telemetry::{Telemetry, WorkerSample};
 use phylo_tree::Tree;
-
-/// Capacity of each worker's sample ring. One sample is pushed per recorded
-/// region and the master drains at every region barrier, so the ring is
-/// effectively depth-1; the slack absorbs drains skipped by error paths.
-const SAMPLE_RING_CAPACITY: usize = 64;
 
 /// One broadcast command: the op plus a snapshot of the master state.
 struct Command {
@@ -55,10 +54,9 @@ struct Command {
     tree: Tree,
     models: ModelSet,
     branch_lengths: BranchLengths,
-    /// Telemetry: whether workers should push a [`WorkerSample`] for this
-    /// region, and the region's sequence number to stamp it with.
+    /// Telemetry: whether workers should drain their tip-cache and dispatch
+    /// counters into this region's [`WorkerSample`].
     record: bool,
-    region: u64,
     /// Test instrumentation: the worker that must panic while executing this
     /// command (see [`ThreadedExecutor::inject_worker_panic`]).
     panic_worker: Option<usize>,
@@ -66,10 +64,10 @@ struct Command {
 
 /// What a worker sends back for one command.
 enum Reply {
-    /// The reduced-ready output plus the worker's wall-clock time for the
-    /// region (including any configured skew sleep) and the number of *live*
-    /// local patterns it touched under the command's convergence mask.
-    Output(OpOutput, Duration, usize),
+    /// The reduced-ready output plus the worker's measurement of the region
+    /// (its op seconds include any configured skew sleep) and the number of
+    /// *live* local patterns it touched under the command's convergence mask.
+    Output(OpOutput, WorkerSample, usize),
     /// A kernel primitive rejected the command (typed, deterministic master
     /// misuse — e.g. a stale sum table). The worker stays alive and in
     /// lockstep; the master surfaces [`ExecError::Op`] without poisoning.
@@ -113,9 +111,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 struct WorkerHandle {
     sender: Sender<Option<Arc<Command>>>,
     results: Receiver<Reply>,
-    /// Consumer half of the worker's lock-free sample ring; drained by the
-    /// master at the region barrier when telemetry is recording.
-    samples: ring::Consumer<WorkerSample>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -132,9 +127,6 @@ pub struct ThreadedExecutor {
     /// One-shot armed fault injection: `(worker, fire_at_sync_event)`.
     injected_panic: Option<(usize, u64)>,
     telemetry: Telemetry,
-    /// Reused scratch for the barrier drain: one allocation for the whole
-    /// run instead of one `Vec` per region barrier.
-    sample_buf: Vec<WorkerSample>,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -200,7 +192,6 @@ impl ThreadedExecutor {
             last_panic: None,
             injected_panic: None,
             telemetry: Telemetry::disabled(),
-            sample_buf: Vec::new(),
         })
     }
 
@@ -226,20 +217,17 @@ impl ThreadedExecutor {
                 let worker_index = slices.worker;
                 let (cmd_tx, cmd_rx) = channel::<Option<Arc<Command>>>();
                 let (res_tx, res_rx) = channel::<Reply>();
-                let (mut sample_tx, sample_rx) = ring::spsc::<WorkerSample>(SAMPLE_RING_CAPACITY);
                 let join = std::thread::Builder::new()
                     .name(format!("plk-worker-{}", slices.worker))
                     .spawn(move || {
-                        // lint:allow(L008): queue-wait baseline for the telemetry sample
-                        // ring; observability only, never feeds the reduction order.
+                        // lint:allow(L008): queue-wait baseline for the region sample;
+                        // observability only, never feeds the reduction order.
                         let mut idle_since = Instant::now();
                         while let Ok(Some(cmd)) = cmd_rx.recv() {
-                            // Time spent blocked on the command channel: the
-                            // telemetry queue-wait lane of this worker.
-                            let queue_wait = idle_since.elapsed();
-                            // lint:allow(L008): per-op timing for the measured trace that
-                            // drives rebalancing; never feeds the reduction order.
+                            // lint:allow(L008): one read ends the queue wait and starts the
+                            // op timing of the region sample; never feeds the reduction order.
                             let start = Instant::now();
+                            let queue_wait = start.saturating_duration_since(idle_since);
                             let body = || -> Result<(OpOutput, usize), phylo_kernel::OpError> {
                                 if cmd.panic_worker == Some(worker_index) {
                                     // lint:allow(L001): fault-injection hook, armed only by recovery tests
@@ -266,52 +254,39 @@ impl ThreadedExecutor {
                                 Ok((out, active))
                             };
                             let outcome = catch_unwind(AssertUnwindSafe(body));
-                            // The sample is pushed *before* the reply, so by
-                            // the time the master holds this worker's reply
-                            // the ring slot is visible. A panicked worker
-                            // pushes nothing: its region never completes.
-                            if cmd.record && outcome.is_ok() {
-                                let (tip_hits, tip_misses, tip_builds) =
-                                    slices.take_tip_cache_counters();
-                                let (dispatch_blocked, dispatch_scalar) =
-                                    slices.take_dispatch_counters();
-                                let _ = sample_tx.push(WorkerSample {
-                                    worker: worker_index,
-                                    region: cmd.region,
-                                    op_seconds: start.elapsed().as_secs_f64(),
-                                    queue_wait_seconds: queue_wait.as_secs_f64(),
-                                    tip_hits,
-                                    tip_misses,
-                                    tip_builds,
-                                    dispatch_blocked,
-                                    dispatch_scalar,
-                                });
-                            }
-                            match outcome {
+                            // lint:allow(L008): one read ends the op timing and starts the
+                            // next queue wait; never feeds the reduction order.
+                            idle_since = Instant::now();
+                            let reply = match outcome {
                                 Ok(Ok((out, active))) => {
-                                    if res_tx
-                                        .send(Reply::Output(out, start.elapsed(), active))
-                                        .is_err()
-                                    {
-                                        break;
-                                    }
+                                    let op_seconds = (idle_since - start).as_secs_f64();
+                                    // Counters drain only while telemetry
+                                    // records; otherwise the sample is just
+                                    // the op time the timed trace keeps.
+                                    let sample = if cmd.record {
+                                        slices.take_sample(op_seconds, queue_wait.as_secs_f64())
+                                    } else {
+                                        WorkerSample {
+                                            worker: worker_index,
+                                            op_seconds,
+                                            ..WorkerSample::default()
+                                        }
+                                    };
+                                    Reply::Output(out, sample, active)
                                 }
-                                Ok(Err(op_error)) => {
-                                    // Typed rejection: the worker stays alive
-                                    // and keeps serving commands in lockstep.
-                                    if res_tx.send(Reply::OpRejected(op_error)).is_err() {
-                                        break;
-                                    }
-                                }
+                                // Typed rejection: the worker stays alive
+                                // and keeps serving commands in lockstep.
+                                Ok(Err(op_error)) => Reply::OpRejected(op_error),
                                 Err(payload) => {
                                     // The slices may be half-updated; report
                                     // the panic and retire this worker.
                                     let _ = res_tx.send(Reply::Panicked(panic_message(payload)));
                                     break;
                                 }
+                            };
+                            if res_tx.send(reply).is_err() {
+                                break;
                             }
-                            // lint:allow(L008): resets the queue-wait baseline above.
-                            idle_since = Instant::now();
                         }
                     })
                     // lint:allow(L001): spawn failure at executor construction, outside the per-op path
@@ -319,7 +294,6 @@ impl ThreadedExecutor {
                 WorkerHandle {
                     sender: cmd_tx,
                     results: res_rx,
-                    samples: sample_rx,
                     join: Some(join),
                 }
             })
@@ -400,14 +374,12 @@ impl ThreadedExecutor {
             self.telemetry
                 .region_start(op.kind().label(), &op.active_partitions())
         });
-        let region = token.as_ref().and_then(|t| t.region()).unwrap_or(0);
         let command = Arc::new(Command {
             op: op.clone(),
             tree: ctx.tree.clone(),
             models: ctx.models.clone(),
             branch_lengths: ctx.branch_lengths.clone(),
             record: token.is_some(),
-            region,
             panic_worker,
         });
         for (worker, handle) in self.handles.iter().enumerate() {
@@ -427,6 +399,9 @@ impl ThreadedExecutor {
         if let Some(record) = record.as_mut() {
             record.active_partitions = op.active_partitions();
         }
+        // One sample per worker, in worker order, when telemetry records;
+        // the untimed, unrecorded loop leaves this empty and unallocated.
+        let mut samples = Vec::new();
         let mut result: Option<OpOutput> = None;
         // A typed kernel rejection must not break the broadcast lockstep:
         // every worker still sends exactly one reply for this region, so the
@@ -435,10 +410,13 @@ impl ThreadedExecutor {
         let mut rejected: Option<phylo_kernel::OpError> = None;
         for (worker, handle) in self.handles.iter().enumerate() {
             match handle.results.recv() {
-                Ok(Reply::Output(out, duration, active)) => {
+                Ok(Reply::Output(out, sample, active)) => {
                     if let Some(record) = record.as_mut() {
-                        record.seconds_per_worker[worker] = duration.as_secs_f64();
+                        record.seconds_per_worker[worker] = sample.op_seconds;
                         record.active_patterns_per_worker[worker] = active as f64;
+                    }
+                    if token.is_some() {
+                        samples.push(sample);
                     }
                     // A reduce mismatch is deterministic misuse like any
                     // other op rejection: keep draining the lockstep replies
@@ -455,6 +433,12 @@ impl ThreadedExecutor {
                     };
                 }
                 Ok(Reply::OpRejected(op_error)) => {
+                    if token.is_some() {
+                        samples.push(WorkerSample {
+                            worker,
+                            ..WorkerSample::default()
+                        });
+                    }
                     rejected.get_or_insert(op_error);
                 }
                 Ok(Reply::Panicked(message)) => {
@@ -473,38 +457,9 @@ impl ThreadedExecutor {
             }
         }
         // Every worker replied (possibly with a typed rejection), so the
-        // region completed: drain the sample rings and close the bracket —
-        // the sample of worker `w` was pushed before its reply was sent.
+        // region completed: close the bracket with the replies' samples.
         if let Some(token) = token {
-            let mut worker_seconds = vec![0.0; self.worker_count];
-            let mut queue_wait = vec![0.0; self.worker_count];
-            let (mut hits, mut misses, mut builds) = (0u64, 0u64, 0u64);
-            let (mut blocked, mut scalar) = (0u64, 0u64);
-            let mut ring_dropped = 0u64;
-            for handle in &mut self.handles {
-                ring_dropped += handle.samples.take_dropped();
-                self.sample_buf.clear();
-                handle.samples.drain_into(&mut self.sample_buf);
-                for sample in &self.sample_buf {
-                    if sample.region != region {
-                        continue;
-                    }
-                    worker_seconds[sample.worker] = sample.op_seconds;
-                    queue_wait[sample.worker] = sample.queue_wait_seconds;
-                    hits += sample.tip_hits;
-                    misses += sample.tip_misses;
-                    builds += sample.tip_builds;
-                    blocked += sample.dispatch_blocked;
-                    scalar += sample.dispatch_scalar;
-                }
-            }
-            self.telemetry.add_tip_cache(hits, misses, builds);
-            self.telemetry.add_dispatch_patterns(blocked, scalar);
-            // Samples a full ring refused are gone, but never silently:
-            // they surface as `events_dropped` in the snapshot.
-            self.telemetry.add_dropped(ring_dropped);
-            self.telemetry
-                .region_end(token, &worker_seconds, &queue_wait);
+            self.telemetry.region_end(token, &samples);
         }
         if let Some(op_error) = rejected {
             return Err(ExecError::Op(op_error));
@@ -803,6 +758,8 @@ mod tests {
         let mut k =
             LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
                 .unwrap();
+        let telemetry = Telemetry::new(phylo_telemetry::TelemetryConfig::default());
+        k.set_telemetry(&telemetry);
         let _ = k.try_log_likelihood().unwrap();
         let sync = k.sync_events();
         let trace = k.executor_mut().take_trace();
@@ -811,6 +768,27 @@ mod tests {
         assert!(trace.has_seconds(), "timed regions must carry durations");
         // After take_trace the accumulator restarts empty.
         assert_eq!(k.executor_mut().trace().sync_events(), 0);
+
+        // One timing source: each region's telemetry event carries exactly
+        // the per-worker seconds the trace recorded, bit for bit.
+        let ends: Vec<Vec<u64>> = telemetry
+            .snapshot()
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                phylo_telemetry::TelemetryEvent::RegionEnd { worker_seconds, .. } => {
+                    Some(worker_seconds.iter().map(|s| s.to_bits()).collect())
+                }
+                _ => None,
+            })
+            .collect();
+        let traced: Vec<Vec<u64>> = trace
+            .regions
+            .iter()
+            .map(|r| r.seconds_per_worker.iter().map(|s| s.to_bits()).collect())
+            .collect();
+        assert_eq!(ends.len() as u64, sync);
+        assert_eq!(ends, traced, "telemetry and the trace disagree");
     }
 
     #[test]

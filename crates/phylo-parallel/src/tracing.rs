@@ -217,24 +217,15 @@ impl Executor for TracingExecutor {
             }
         }
         // Virtual workers run on the master thread: no queues, so the
-        // queue-wait lanes are zero; the tip-cache deltas drain directly.
+        // queue-wait lanes are zero; the samples carry the trace's seconds.
         if let Some(token) = token {
-            let (mut hits, mut misses, mut builds) = (0u64, 0u64, 0u64);
-            let (mut blocked, mut scalar) = (0u64, 0u64);
-            for w in &self.workers {
-                let (h, m, b) = w.take_tip_cache_counters();
-                hits += h;
-                misses += m;
-                builds += b;
-                let (db, ds) = w.take_dispatch_counters();
-                blocked += db;
-                scalar += ds;
-            }
-            self.telemetry.add_tip_cache(hits, misses, builds);
-            self.telemetry.add_dispatch_patterns(blocked, scalar);
-            let queue_wait = vec![0.0; record.seconds_per_worker.len()];
-            self.telemetry
-                .region_end(token, &record.seconds_per_worker, &queue_wait);
+            let samples: Vec<_> = self
+                .workers
+                .iter()
+                .zip(&record.seconds_per_worker)
+                .map(|(w, &seconds)| w.take_sample(seconds, 0.0))
+                .collect();
+            self.telemetry.region_end(token, &samples);
         }
         if let Some(e) = rejected {
             return Err(ExecError::Op(e));

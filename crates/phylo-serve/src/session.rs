@@ -77,9 +77,6 @@ impl Executor for PooledExecutor {
             self.telemetry
                 .region_start(op.kind().label(), &op.active_partitions())
         });
-        // lint:allow(L008): op latency for the session outcome report;
-        // observability only, never feeds the reduction order.
-        let started = Instant::now();
         let request = OpRequest {
             session: self.session,
             op: op.clone(),
@@ -99,13 +96,11 @@ impl Executor for PooledExecutor {
         match self.reply_rx.recv() {
             Ok(Ok(output)) => {
                 if let Some(token) = token {
-                    // The pool hides per-worker splits from the session; the
-                    // session-scoped region event times the fused round trip
-                    // (per-worker attribution lives in pool-level records).
-                    let share = started.elapsed().as_secs_f64() / self.workers as f64;
-                    let per_worker = vec![share; self.workers];
-                    let queue_wait = vec![0.0; self.workers];
-                    self.telemetry.region_end(token, &per_worker, &queue_wait);
+                    // The pool hides per-worker splits from the session, so
+                    // the session-scoped region event times only the fused
+                    // round trip: it carries no per-worker samples and adds
+                    // nothing to the imbalance histogram.
+                    self.telemetry.region_end(token, &[]);
                 }
                 Ok(output)
             }

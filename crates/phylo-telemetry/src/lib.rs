@@ -17,33 +17,39 @@
 //! * The *master* records: region start/end, table builds, reschedules,
 //!   deaths/recoveries, optimizer rounds and probes all happen on the master
 //!   thread, so the event log and histograms sit behind uncontended mutexes.
-//! * *Workers* never touch the recorder. Each worker thread owns the
-//!   [`ring::Producer`] half of a bounded lock-free SPSC ring and pushes one
-//!   [`WorkerSample`] (op latency, queue wait, tip-cache counters) per
-//!   region; the master drains the [`ring::Consumer`] halves at the region
-//!   barrier and folds the samples into the recorder.
+//! * *Workers* never touch the recorder. Each worker measures its own op
+//!   latency and queue wait and drains its tip-cache and dispatch counters
+//!   into one [`WorkerSample`], which travels back to the master on the same
+//!   reply that carries the worker's result. The master hands the region's
+//!   samples to [`Telemetry::region_end`], which folds them into the event
+//!   log, the counters and the histograms — and the executor's measured
+//!   `WorkTrace` reads the same samples, so the rescheduler and telemetry
+//!   see one timing source.
 //! * This crate depends on nothing, so every workspace crate can depend on
-//!   it without cycles.
-//! * All `unsafe` and all atomics live behind the [`sync`] facade (plus the
-//!   ring's two slot accesses) — this is the only workspace crate not under
-//!   `#![forbid(unsafe_code)]`, and in exchange it compiles under
-//!   `--cfg phylo_modelcheck` into a deterministically model-checked build
-//!   (see `sync::modelcheck` and `tests/modelcheck.rs`).
+//!   it without cycles, and like every workspace crate it contains no
+//!   `unsafe`. Its only atomics are the recorder's relaxed counters, imported
+//!   through the designated `sync` module.
 //!
 //! ```
-//! use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
+//! use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot, WorkerSample};
 //!
 //! let telemetry = Telemetry::new(TelemetryConfig::default());
 //!
 //! // The master brackets a parallel region...
 //! let token = telemetry.region_start("newview", &[true, true, false]);
-//! telemetry.region_end(token, &[0.010, 0.012], &[0.001, 0.0]);
+//! // ...the workers' replies carry their samples...
+//! let samples = [
+//!     WorkerSample { worker: 0, op_seconds: 0.010, queue_wait_seconds: 0.001, ..Default::default() },
+//!     WorkerSample { worker: 1, op_seconds: 0.012, tip_hits: 3, ..Default::default() },
+//! ];
+//! telemetry.region_end(token, &samples);
 //! // ...counts a table-cache hit...
 //! telemetry.table_cache_hit();
 //!
 //! let snapshot = telemetry.snapshot();
 //! assert_eq!(snapshot.counters.regions_completed, 1);
 //! assert_eq!(snapshot.counters.table_hits, 1);
+//! assert_eq!(snapshot.counters.tip_hits, 3);
 //!
 //! // Exports round-trip.
 //! let events = TelemetrySnapshot::events_from_jsonl(&snapshot.to_jsonl());
@@ -51,7 +57,7 @@
 //! assert!(snapshot.to_prometheus().contains("plf_regions_completed_total 1"));
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod envelope;
@@ -59,9 +65,8 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod ring;
 pub mod snapshot;
-pub mod sync;
+mod sync;
 
 pub use config::TelemetryConfig;
 pub use envelope::{BenchEnvelope, BENCH_SCHEMA};

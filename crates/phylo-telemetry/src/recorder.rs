@@ -3,21 +3,21 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 use crate::config::TelemetryConfig;
 use crate::event::TelemetryEvent;
 use crate::hist::Histogram;
 use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
 
-/// One worker's per-region measurement, pushed into the worker's lock-free
-/// ring ([`crate::ring`]) and drained by the master at the region barrier.
+/// One worker's per-region measurement. The worker builds it when the
+/// region's op returns and ships it on its reply to the master; the master
+/// passes the region's samples to [`Telemetry::region_end`] and, on a timed
+/// executor, copies the same `op_seconds` into its measured trace.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerSample {
     /// Index of the reporting worker.
     pub worker: usize,
-    /// Region sequence number the sample belongs to.
-    pub region: u64,
     /// Seconds the worker spent executing the op.
     pub op_seconds: f64,
     /// Seconds the worker spent idle waiting for the command.
@@ -96,8 +96,9 @@ impl RegionToken {
 /// The default ([`Telemetry::disabled`]) carries no recorder at all: every
 /// instrumentation site is a single `Option` check, so code paths that never
 /// opt in pay (almost) nothing. An enabled handle shares one recorder across
-/// clones; the master-side mutexes are uncontended by construction (only the
-/// master thread records — workers communicate through the lock-free rings).
+/// clones; the mutexes are uncontended by construction, because only the
+/// master thread records. Workers report through their reply to the master,
+/// as one [`WorkerSample`] per region.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -203,25 +204,36 @@ impl Telemetry {
         }
     }
 
-    /// Marks the completion of a region: records wall time, per-worker op
-    /// latency and queue wait, and feeds the latency/imbalance histograms.
-    pub fn region_end(&self, token: RegionToken, worker_seconds: &[f64], queue_wait: &[f64]) {
+    /// Marks the completion of a region from its per-worker samples (one
+    /// per worker, in worker order): records wall time, per-worker op
+    /// latency and queue wait, folds the tip-cache and dispatch counters,
+    /// and feeds the latency/imbalance histograms. A region whose workers
+    /// were not measured passes no samples and adds nothing to the
+    /// imbalance histogram.
+    pub fn region_end(&self, token: RegionToken, samples: &[WorkerSample]) {
         let (Some(inner), Some((seq, kind, started))) = (&self.inner, token.state) else {
             return;
         };
         let seconds = started.elapsed().as_secs_f64();
-        inner
-            .counters
-            .regions_completed
-            .fetch_add(1, Ordering::Relaxed);
+        let c = &inner.counters;
+        c.regions_completed.fetch_add(1, Ordering::Relaxed);
+        for s in samples {
+            c.tip_hits.fetch_add(s.tip_hits, Ordering::Relaxed);
+            c.tip_misses.fetch_add(s.tip_misses, Ordering::Relaxed);
+            c.tip_builds.fetch_add(s.tip_builds, Ordering::Relaxed);
+            c.dispatch_blocked_patterns
+                .fetch_add(s.dispatch_blocked, Ordering::Relaxed);
+            c.dispatch_scalar_patterns
+                .fetch_add(s.dispatch_scalar, Ordering::Relaxed);
+        }
         {
             // lint:allow(L005): histogram mutex, taken only on the telemetry-enabled
             // path. lint:allow(L001): a poisoned telemetry histogram is fatal by design.
             let mut hists = inner.hists.lock().expect("telemetry histograms poisoned");
             hists.region_seconds.record(seconds);
-            let busy: Vec<f64> = worker_seconds
+            let busy: Vec<f64> = samples
                 .iter()
-                .copied()
+                .map(|s| s.op_seconds)
                 .filter(|&s| s > 0.0)
                 .collect();
             if busy.len() > 1 {
@@ -241,8 +253,8 @@ impl Telemetry {
                     region: seq,
                     kind: kind.to_string(),
                     seconds,
-                    worker_seconds: worker_seconds.to_vec(),
-                    queue_wait: queue_wait.to_vec(),
+                    worker_seconds: samples.iter().map(|s| s.op_seconds).collect(),
+                    queue_wait: samples.iter().map(|s| s.queue_wait_seconds).collect(),
                     session: self.session,
                 },
             );
@@ -270,59 +282,6 @@ impl Telemetry {
                     branch,
                 },
             );
-        }
-    }
-
-    /// Folds ring-rejected worker samples into the `events_dropped` counter.
-    /// Called by the master at the region barrier with
-    /// [`crate::ring::Consumer::take_dropped`]'s harvest, so every sample a
-    /// full ring refused is accounted for in the snapshot.
-    pub fn add_dropped(&self, n: u64) {
-        if n != 0 {
-            if let Some(inner) = &self.inner {
-                // lint:allow(L005): event-log mutex, taken only on the telemetry-enabled
-                // path. lint:allow(L001): a poisoned telemetry log is fatal by design.
-                let mut log = inner.events.lock().expect("telemetry event log poisoned");
-                log.dropped += n;
-            }
-        }
-    }
-
-    /// Accumulates tip-index cache counters drained from worker samples.
-    pub fn add_tip_cache(&self, hits: u64, misses: u64, builds: u64) {
-        if let Some(inner) = &self.inner {
-            if hits | misses | builds != 0 {
-                inner.counters.tip_hits.fetch_add(hits, Ordering::Relaxed);
-                inner
-                    .counters
-                    .tip_misses
-                    .fetch_add(misses, Ordering::Relaxed);
-                inner
-                    .counters
-                    .tip_builds
-                    .fetch_add(builds, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Accumulates per-dispatch pattern-step counts drained from workers:
-    /// how many (pattern × traversal-step) units the blocked and the scalar
-    /// tabled kernels each processed. Together with the per-region wall
-    /// times this yields per-dispatch region throughput.
-    pub fn add_dispatch_patterns(&self, blocked: u64, scalar: u64) {
-        if let Some(inner) = &self.inner {
-            if blocked != 0 {
-                inner
-                    .counters
-                    .dispatch_blocked_patterns
-                    .fetch_add(blocked, Ordering::Relaxed);
-            }
-            if scalar != 0 {
-                inner
-                    .counters
-                    .dispatch_scalar_patterns
-                    .fetch_add(scalar, Ordering::Relaxed);
-            }
         }
     }
 
@@ -508,13 +467,26 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    /// One sample per worker with the given op seconds.
+    fn timed(seconds: &[f64]) -> Vec<WorkerSample> {
+        seconds
+            .iter()
+            .enumerate()
+            .map(|(worker, &op_seconds)| WorkerSample {
+                worker,
+                op_seconds,
+                ..WorkerSample::default()
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.enabled());
         let token = t.region_start("newview", &[true]);
         assert_eq!(token.region(), None);
-        t.region_end(token, &[1.0], &[]);
+        t.region_end(token, &timed(&[1.0]));
         t.table_cache_hit();
         t.newton_probe(0, None, 0.1, -1.0, 0.0, -1.0);
         let snap = t.snapshot();
@@ -527,7 +499,7 @@ mod tests {
         let t = Telemetry::new(TelemetryConfig::default());
         let a = t.region_start("newview", &[true, false]);
         assert_eq!(a.region(), Some(0));
-        t.region_end(a, &[0.5, 1.0], &[0.0, 0.0]);
+        t.region_end(a, &timed(&[0.5, 1.0]));
         let b = t.region_start("evaluate", &[true, true]);
         assert_eq!(b.region(), Some(1));
         // Aborted region: started but never completed.
@@ -552,13 +524,32 @@ mod tests {
     }
 
     #[test]
+    fn unmeasured_regions_skip_the_imbalance_histogram() {
+        let t = Telemetry::new(TelemetryConfig::default());
+        let token = t.region_start("evaluate", &[true]);
+        t.region_end(token, &[]);
+        let snap = t.snapshot();
+        assert_eq!(snap.counters.regions_completed, 1);
+        assert_eq!(snap.region_seconds.count(), 1);
+        assert_eq!(snap.region_imbalance.count(), 0);
+    }
+
+    #[test]
     fn counters_accumulate_across_clones() {
         let t = Telemetry::new(TelemetryConfig::default());
         let clone = t.clone();
         t.table_cache_hit();
         clone.table_cache_hit();
         clone.table_build(0, 3);
-        t.add_tip_cache(10, 2, 1);
+        let token = t.region_start("newview", &[true]);
+        let sample = WorkerSample {
+            tip_hits: 10,
+            tip_misses: 2,
+            tip_builds: 1,
+            dispatch_blocked: 7,
+            ..WorkerSample::default()
+        };
+        t.region_end(token, &[sample]);
         t.reschedule_considered();
         t.reschedule(1, false, 1.5, 1.1);
         t.worker_death(2, Some(7));
@@ -577,6 +568,7 @@ mod tests {
             ),
             (10, 2, 1)
         );
+        assert_eq!(snap.counters.dispatch_blocked_patterns, 7);
         assert_eq!(snap.counters.reschedules_considered, 1);
         assert_eq!(snap.counters.reschedules, 1);
         assert_eq!(snap.counters.worker_deaths, 1);
@@ -596,12 +588,12 @@ mod tests {
         assert_eq!(a.session(), Some(1));
 
         let token = a.region_start("newview", &[true]);
-        a.region_end(token, &[0.5], &[0.0]);
+        a.region_end(token, &timed(&[0.5]));
         a.optimizer_round(1, -100.0);
         let token = b.region_start("evaluate", &[true]);
-        b.region_end(token, &[0.5], &[0.0]);
+        b.region_end(token, &timed(&[0.5]));
         let token = pool.region_start("evaluate", &[true]);
-        pool.region_end(token, &[0.5], &[0.0]);
+        pool.region_end(token, &timed(&[0.5]));
 
         // Counters aggregate across all sessions on the shared recorder.
         let snap = pool.snapshot();

@@ -234,15 +234,30 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Telemetry, TelemetryConfig};
+    use crate::{Telemetry, TelemetryConfig, WorkerSample};
 
     fn populated_snapshot() -> TelemetrySnapshot {
         let t = Telemetry::new(TelemetryConfig::default());
         let token = t.region_start("newview", &[true, false]);
-        t.region_end(token, &[0.5, 1.0], &[0.1, 0.0]);
+        let samples = [
+            WorkerSample {
+                worker: 0,
+                op_seconds: 0.5,
+                queue_wait_seconds: 0.1,
+                tip_hits: 90,
+                tip_misses: 10,
+                tip_builds: 2,
+                ..WorkerSample::default()
+            },
+            WorkerSample {
+                worker: 1,
+                op_seconds: 1.0,
+                ..WorkerSample::default()
+            },
+        ];
+        t.region_end(token, &samples);
         t.table_cache_hit();
         t.table_build(0, 5);
-        t.add_tip_cache(90, 10, 2);
         t.reschedule(1, true, 1.6, 1.05);
         t.worker_death(1, Some(0));
         t.worker_recovery(1, 1);

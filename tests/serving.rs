@@ -160,6 +160,10 @@ fn pool_telemetry_is_scoped_per_session() {
 
     let snapshot = pool.telemetry_snapshot().expect("telemetry configured");
     assert!(snapshot.counters.regions_started > 0);
+    // The pool hides per-worker splits from a session, so its regions are
+    // timed as a whole and feed no imbalance nobody measured.
+    assert!(snapshot.region_seconds.count() > 0);
+    assert_eq!(snapshot.region_imbalance.count(), 0);
     for &id in &ids {
         let events = snapshot.session_events(id);
         assert!(
